@@ -69,7 +69,6 @@ from .cluster import (
     excitation_decomposition_check,
     excitation_space,
     ominus_levels,
-    pair_cluster,
     shift_orthogonality_check,
 )
 from .hyperspace import (

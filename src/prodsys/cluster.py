@@ -1,20 +1,36 @@
-"""Cluster construction for lattice subsystems.
+"""Cluster construction for product-compatible lattice subsystems.
 
 For a subsystem F the gap space at level n joins, over interior cut points
 r, the tensor products of the complements of F_r and F_{n-r}; its
 orthocomplement is an inclusion system containing F whose generated
-product system is the cluster of F.  For a unit-generated F the cluster
-inclusion carries a vacuum + one-excitation structure, and the cluster is
-the full system.
+product system is the cluster of F.
 
-Gap and inclusion levels depend only on the level-1 space, so they are
-memoised by its basis bytes and grown lazily with depth.
+F is fixed by its level-1 space F1, so everything is computed in the frame
+W = [F1 | F1^perp], a g x g unitary.  The columns of W^(x)n are words: each
+cell holds either a column of F1 (unexcited) or of F1^perp (excited).  F_n
+is spanned by the words with no excited cell and its complement by those
+with at least one.  A word with two or more excited cells lies in the
+cut-r term for every r between its first two excitations, and a word with
+fewer lies in none, so the gap at level n is spanned by the words with at
+least two excited cells and the cluster inclusion by those with at most
+one, of rank f^n + n(g-f)f^(n-1) for f = rank F1.  No word at level 1 has
+two excited cells, so level 1 of the inclusion is the whole slot space and
+the cluster is the full system.
+
+Every space here is therefore a set of excited counts, the count-k class
+holding C(n,k) f^(n-k) (g-f)^k words.  Ranks are sums of class sizes, and
+a containment between tensor products of such spaces is an inclusion of
+count sets, exact up to the frame defect of W.  ``cluster_report`` works on
+counts alone.  The other public functions build dense bases on request, as
+Kronecker products of W's column blocks (``lattice.excitation_basis``),
+with no orthonormalisation.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -22,50 +38,133 @@ from .lattice import (
     LatticeInclusionSystem,
     LatticeProductSystem,
     LatticeSubsystem,
-    generate_product_system,
-    unit_line_subsystem,
+    excitation_basis,
     unit_section,
 )
 from .linalg import (
     Subspace,
     complement,
     contains,
+    full_space,
     join,
-    ominus,
-    orthonormalize,
     span,
     subspace_distance,
     tensor,
-    zero_space,
 )
 
 CHECK_TOL = 1e-8
+# Bound on ||W*W - I||_2 for the level-1 frame; W^(x)n is then unitary to
+# within (1 + defect)^n - 1.
+FRAME_TOL = 1e-10
 
-_CACHE: dict = {}
+
+class FrameDefectError(ValueError):
+    """The level-1 basis and its complement do not form a unitary frame."""
 
 
-def _cluster_data(sub: LatticeSubsystem, depth: int) -> dict:
-    """Complements, gap levels and inclusion levels of F up to ``depth``.
+class ExcitationFrame:
+    """The frame W = [F1 | F1^perp] of a level-1 space, and count sets on it.
 
-    Level n uses only data below n, so the cached lists extend in place
-    when a deeper request arrives.
+    A count set at level n is a frozenset of excited counts k; it stands
+    for the span of the words with k excited cells.  Only nonempty classes
+    are kept, so two count sets are equal exactly when their spans are.
     """
-    key = (sub.parent.slot_dim, sub.level1.basis.tobytes())
-    entry = _CACHE.setdefault(key, {"comp": [], "gap": [], "incl": []})
-    g = sub.parent.slot_dim
-    while len(entry["incl"]) < depth:
-        n = len(entry["incl"]) + 1
-        entry["comp"].append(complement(sub.level(n)))
-        cols = [np.kron(entry["comp"][r - 1].basis, entry["comp"][n - r - 1].basis)
-                for r in range(1, n)
-                if entry["comp"][r - 1].rank and entry["comp"][n - r - 1].rank]
-        if cols:
-            gap = orthonormalize(np.hstack(cols))
-        else:
-            gap = zero_space(g ** n)
-        entry["gap"].append(gap)
-        entry["incl"].append(complement(gap))
-    return entry
+
+    def __init__(self, level1: Subspace):
+        self.inside = level1.basis
+        self.outside = complement(level1).basis
+        w = np.hstack([self.inside, self.outside])
+        self.slot_dim = w.shape[0]
+        self.f = level1.rank
+        self.defect = float(np.linalg.norm(w.conj().T @ w - np.eye(self.slot_dim), 2))
+        if not self.defect <= FRAME_TOL:
+            raise FrameDefectError(
+                f"level-1 frame defect {self.defect:.2e} exceeds {FRAME_TOL:.0e}; "
+                "is the level-1 basis orthonormal?")
+
+    def size(self, n: int, k: int) -> int:
+        """Number of words at level n with k excited cells."""
+        return math.comb(n, k) * self.f ** (n - k) * (self.slot_dim - self.f) ** k
+
+    def counts(self, n: int, ks: Optional[Iterable[int]] = None) -> frozenset:
+        """The nonempty classes among ``ks`` (default: all) at level n."""
+        if ks is None:
+            ks = range(n + 1)
+        return frozenset(k for k in ks if 0 <= k <= n and self.size(n, k))
+
+    def rank(self, n: int, counts: frozenset) -> int:
+        return sum(self.size(n, k) for k in counts)
+
+    def subspace(self, n: int, counts: frozenset) -> Subspace:
+        """Dense span of the words of a count set at level n."""
+        return Subspace(excitation_basis(self.inside, self.outside, n, counts))
+
+    # The spaces of the construction, as count sets at level n.
+
+    def input(self, n: int) -> frozenset:
+        return self.counts(n, (0,))
+
+    def gap(self, n: int) -> frozenset:
+        return self.counts(n, range(2, n + 1))
+
+    def inclusion(self, n: int) -> frozenset:
+        return self.counts(n) - self.gap(n)
+
+    def generated(self, n: int) -> frozenset:
+        """Counts of the n-th tensor power of inclusion level 1."""
+        step = self.inclusion(1)
+        sums = {0}
+        for _ in range(n):
+            sums = {a + b for a in sums for b in step}
+        return self.counts(n, sums)
+
+
+def _tensor_within(a: frozenset, b: frozenset, c: frozenset) -> bool:
+    """Whether span(a at s) (x) span(b at t) lies in span(c at s+t).
+
+    The tensor product is spanned by the concatenated words, whose excited
+    count is k_s + k_t.
+    """
+    return all(ks + kt in c for ks in a for kt in b)
+
+
+def _structure_ok(frame: ExcitationFrame, depth: int) -> bool:
+    """Exact checks of the cluster construction on excited counts.
+
+    Raises AssertionError when the inclusion levels are not inclusion
+    compatible, fail one of the three tensor-stability inclusions (left,
+    right, and strict relative to F), or leave the generated system.
+    Returns whether F_n <= inclusion_n <= generated_n at every level.
+    """
+    every = {n: frame.counts(n) for n in range(1, depth + 1)}
+    F = {n: frame.input(n) for n in range(1, depth + 1)}
+    inc = {n: frame.inclusion(n) for n in range(1, depth + 1)}
+    gen = {n: frame.generated(n) for n in range(1, depth + 1)}
+    for s in range(1, depth):
+        for t in range(1, depth - s + 1):
+            big = inc[s + t]
+            # A word of the level-(s+t) inclusion splits into a level-s and
+            # a level-t word of counts (k_s, k - k_s).
+            compatible = all(ks in inc[s] and k - ks in inc[t]
+                             for k in big for ks in every[s] if k - ks in every[t])
+            if not compatible:
+                raise AssertionError(f"inclusion compatibility fails at ({s},{t})")
+            if not _tensor_within(inc[s], F[t], big):
+                raise AssertionError(f"stability fails at ({s},{t})")
+            if not _tensor_within(F[s], inc[t], big):
+                raise AssertionError(f"stability fails at ({s},{t}) (left)")
+            if not _tensor_within(inc[s] - F[s], F[t], big - F[s + t]):
+                raise AssertionError(f"strict stability fails at ({s},{t})")
+            if not _tensor_within(inc[s], inc[t], gen[s + t]):
+                raise AssertionError(f"generation fails at ({s},{t})")
+    return all(F[n] <= inc[n] <= gen[n] for n in range(1, depth + 1))
+
+
+def _checked_frame(sub: LatticeSubsystem, depth: int) -> ExcitationFrame:
+    frame = ExcitationFrame(sub.level1)
+    if not _structure_ok(frame, depth):
+        raise AssertionError("cluster inclusion does not contain F")
+    return frame
 
 
 def ominus_levels(sub: LatticeSubsystem, depth: Optional[int] = None) -> list[Subspace]:
@@ -73,70 +172,36 @@ def ominus_levels(sub: LatticeSubsystem, depth: Optional[int] = None) -> list[Su
     complement(F_r) (x) complement(F_{n-r}).  Level 1 is the zero space."""
     if depth is None:
         depth = sub.depth
-    return list(_cluster_data(sub, depth)["gap"][:depth])
+    frame = ExcitationFrame(sub.level1)
+    return [frame.subspace(n, frame.gap(n)) for n in range(1, depth + 1)]
 
 
-def cluster_inclusion(sub: LatticeSubsystem, depth: Optional[int] = None,
-                      check: bool = False) -> LatticeInclusionSystem:
+def cluster_inclusion(sub: LatticeSubsystem,
+                      depth: Optional[int] = None) -> LatticeInclusionSystem:
     """Orthocomplements of the gap spaces, as an inclusion system.
 
-    Contains the input subsystem at every level.  With ``check`` on, the
-    two tensor-stability inclusions (and their versions relative to F) are
-    asserted for all split points.
+    Contains the input subsystem at every level; that containment, the two
+    tensor-stability inclusions and their version relative to F are
+    checked on excited counts for all split points.
     """
     if depth is None:
         depth = sub.depth
-    levels = _cluster_data(sub, depth)["incl"][:depth]
-    inc = LatticeInclusionSystem(sub.parent, levels)
-    for n in range(1, depth + 1):
-        if not contains(levels[n - 1], sub.level(n)):
-            raise AssertionError(f"cluster inclusion does not contain F at level {n}")
-    if check:
-        for s in range(1, depth):
-            for t in range(1, depth - s + 1):
-                big = levels[s + t - 1]
-                if not contains(big, tensor(levels[s - 1], sub.level(t))):
-                    raise AssertionError(f"stability fails at ({s},{t})")
-                if not contains(big, tensor(sub.level(s), levels[t - 1])):
-                    raise AssertionError(f"stability fails at ({s},{t}) (left)")
-                strict_s = ominus(levels[s - 1], sub.level(s))
-                strict_big = ominus(big, sub.level(s + t))
-                if not contains(strict_big, tensor(strict_s, sub.level(t))):
-                    raise AssertionError(f"strict stability fails at ({s},{t})")
-    return inc
+    frame = _checked_frame(sub, depth)
+    return LatticeInclusionSystem(
+        sub.parent, [frame.subspace(n, frame.inclusion(n)) for n in range(1, depth + 1)])
 
 
 def cluster_system(sub: LatticeSubsystem, depth: Optional[int] = None) -> LatticeSubsystem:
-    """Product system generated by the cluster inclusion of the subsystem."""
-    return generate_product_system(cluster_inclusion(sub, depth))
+    """Product system generated by the cluster inclusion of the subsystem.
 
-
-def pair_cluster(f1: LatticeInclusionSystem, f2: LatticeInclusionSystem,
-                 depth: Optional[int] = None) -> LatticeInclusionSystem:
-    """Cluster inclusion of an ordered pair of inclusion systems.
-
-    Level n is the orthocomplement of the join over 0 < r < n of
-    complement(F1_r) (x) complement(F2_{n-r}); it contains both inputs and
-    coincides with the single-system cluster inclusion when F1 = F2.
+    Level 1 of the inclusion is the whole slot space, so this is the full
+    system; its generation defect is zero because the check is exact.
     """
-    if f1.parent.slot_dim != f2.parent.slot_dim:
-        raise ValueError("inclusion systems live over different slot spaces")
     if depth is None:
-        depth = min(f1.depth, f2.depth)
-    g = f1.parent.slot_dim
-    comp1 = [complement(f1.level(n)) for n in range(1, depth + 1)]
-    comp2 = [complement(f2.level(n)) for n in range(1, depth + 1)]
-    levels = []
-    for n in range(1, depth + 1):
-        acc = zero_space(g ** n)
-        for r in range(1, n):
-            acc = join(acc, tensor(comp1[r - 1], comp2[n - r - 1]))
-        levels.append(complement(acc))
-    out = LatticeInclusionSystem(f1.parent, levels)
-    for n in range(1, depth + 1):
-        if not (contains(out.level(n), f1.level(n))
-                and contains(out.level(n), f2.level(n))):
-            raise AssertionError(f"pair cluster does not contain its inputs at level {n}")
+        depth = sub.depth
+    _checked_frame(sub, depth)
+    out = LatticeSubsystem(sub.parent, full_space(sub.parent.slot_dim), depth)
+    out.generation_defect = 0.0
     return out
 
 
@@ -147,13 +212,8 @@ def excitation_space(system: LatticeProductSystem, n: int) -> Subspace:
     removed; it is spanned by the single-excitation vectors and has
     dimension n(g-1).  Depends only on data up to level n.
     """
-    line = unit_line_subsystem(system, max(n, 1))
-    entry = _cluster_data(line, n)
-    exc = entry.setdefault("exc", [])
-    while len(exc) < n:
-        m = len(exc) + 1
-        exc.append(ominus(entry["incl"][m - 1], span(system.unit_fiber(m))))
-    return exc[n - 1]
+    frame = ExcitationFrame(span(system.reference_unit))
+    return frame.subspace(n, frame.inclusion(n) - frame.input(n))
 
 
 def excitation_decomposition_check(system: LatticeProductSystem, m: int, n: int,
@@ -198,7 +258,12 @@ def shift_orthogonality_check(system: LatticeProductSystem, m: int, max_level: i
 
 @dataclass
 class ClusterReport:
-    """Per-level summary of the cluster construction for one subsystem."""
+    """Per-level summary of the cluster construction for one subsystem.
+
+    ``path`` names how it was computed: "structured" for the excited-count
+    engine.  ``frame_defect`` is ||W*W - I||_2 of the level-1 frame, and
+    ``frame_tol`` the bound it was checked against.
+    """
 
     slot_dim: int
     depth: int
@@ -209,6 +274,9 @@ class ClusterReport:
     excitation_dims: list[int] = field(default_factory=list)
     containment_ok: bool = True
     generation_defect: float = 0.0
+    path: str = "structured"
+    frame_defect: float = 0.0
+    frame_tol: float = FRAME_TOL
 
     def as_dict(self) -> dict:
         return {
@@ -221,33 +289,32 @@ class ClusterReport:
             "excitation_dims": self.excitation_dims,
             "containment_ok": self.containment_ok,
             "generation_defect": self.generation_defect,
+            "path": self.path,
+            "frame_defect": self.frame_defect,
+            "frame_tol": self.frame_tol,
         }
 
 
-def cluster_report(sub: LatticeSubsystem, depth: Optional[int] = None,
-                   check: bool = True) -> ClusterReport:
-    """Run the full cluster pipeline on a subsystem and tabulate dimensions."""
+def cluster_report(sub: LatticeSubsystem, depth: Optional[int] = None) -> ClusterReport:
+    """Tabulate the cluster construction of a subsystem from excited counts."""
     if depth is None:
         depth = sub.depth
-    gaps = ominus_levels(sub, depth)
-    inc = cluster_inclusion(sub, depth, check=check)
-    gen = cluster_system(sub, depth)
-    ok = all(
-        contains(inc.level(n), sub.level(n)) and contains(gen.level(n), inc.level(n))
-        for n in range(1, depth + 1))
+    frame = ExcitationFrame(sub.level1)
+    ok = _structure_ok(frame, depth)
+    levels = range(1, depth + 1)
     unit_generated = sub.level1.rank == 1 and contains(
         sub.level1, span(sub.parent.reference_unit))
     exc = []
     if unit_generated:
-        exc = [excitation_space(sub.parent, n).rank for n in range(1, depth + 1)]
+        exc = [frame.rank(n, frame.inclusion(n) - frame.input(n)) for n in levels]
     return ClusterReport(
-        slot_dim=sub.parent.slot_dim,
+        slot_dim=frame.slot_dim,
         depth=depth,
-        input_dims=[sub.level(n).rank for n in range(1, depth + 1)],
-        ominus_dims=[s.rank for s in gaps],
-        inclusion_dims=[inc.level(n).rank for n in range(1, depth + 1)],
-        generated_dims=[gen.level(n).rank for n in range(1, depth + 1)],
+        input_dims=[frame.rank(n, frame.input(n)) for n in levels],
+        ominus_dims=[frame.rank(n, frame.gap(n)) for n in levels],
+        inclusion_dims=[frame.rank(n, frame.inclusion(n)) for n in levels],
+        generated_dims=[frame.rank(n, frame.generated(n)) for n in levels],
         excitation_dims=exc,
         containment_ok=ok,
-        generation_defect=gen.generation_defect or 0.0,
+        frame_defect=frame.defect,
     )

@@ -23,7 +23,6 @@ from .linalg import (
     full_space,
     intersect,
     join,
-    orthonormalize,
     span,
     subspace_distance,
     tensor,
@@ -336,7 +335,7 @@ def solve_addit_seeds(sub: LatticeSubsystem, u=None, depth: Optional[int] = None
             [sub.project_onto_level(cols[:, k], n) for k in range(g)])
         blocks.append(cols - projected)
     constraint = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
+    _, s, vh = np.linalg.svd(constraint, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
@@ -397,6 +396,37 @@ def generate_product_system(inc: LatticeInclusionSystem,
     return out
 
 
+def excitation_basis(inside: np.ndarray, outside: np.ndarray, n: int,
+                     counts) -> np.ndarray:
+    """Kronecker products of slot columns over excitation words.
+
+    A word puts a column of ``inside`` (an unexcited cell) or of
+    ``outside`` (an excited cell) in each of the n slots.  The columns of
+    the result are the Kronecker products of all words whose number of
+    excited cells lies in ``counts``.  When [inside | outside] is unitary
+    they are orthonormal, so they span the word-set subspace without any
+    orthonormalisation.  Words are grown one slot at a time, grouped by
+    excited count, and counts above ``max(counts)`` are never formed.
+    """
+    counts = sorted(k for k in set(counts) if 0 <= k <= n)
+    g = inside.shape[0]
+    if not counts:
+        return np.zeros((g ** n, 0), dtype=complex)
+    top = counts[-1]
+    by_count = [np.ones((1, 1), dtype=complex)]
+    for m in range(1, n + 1):
+        grown = []
+        for k in range(min(m, top) + 1):
+            blocks = []
+            if k < len(by_count):
+                blocks.append(np.kron(by_count[k], inside))
+            if k > 0:
+                blocks.append(np.kron(by_count[k - 1], outside))
+            grown.append(np.hstack(blocks))
+        by_count = grown
+    return np.hstack([by_count[k] for k in counts])
+
+
 def single_excitation_inclusion(parent: LatticeProductSystem,
                                 depth: int) -> LatticeInclusionSystem:
     """Inclusion system with levels (unit line) + (one excited slot).
@@ -405,18 +435,10 @@ def single_excitation_inclusion(parent: LatticeProductSystem,
     non-unit slot; this is the lattice form of the one-particle picture
     C + K.  Its generated product system is the full system.
     """
-    u = parent.reference_unit
-    g = parent.slot_dim
-    perp = complement(span(u))
-    levels = []
-    for n in range(1, depth + 1):
-        cols = [unit_section(u, n)]
-        for j in range(n):
-            for k in range(perp.rank):
-                cols.append(np.kron(np.kron(unit_section(u, j) if j else np.ones(1, dtype=complex),
-                                            perp.basis[:, k]),
-                                    unit_section(u, n - 1 - j) if n - 1 - j else np.ones(1, dtype=complex)))
-        levels.append(orthonormalize(np.column_stack(cols)))
+    u = parent.reference_unit.reshape(-1, 1)
+    perp = complement(span(u)).basis
+    levels = [Subspace(excitation_basis(u, perp, n, (0, 1)))
+              for n in range(1, depth + 1)]
     return LatticeInclusionSystem(parent, levels)
 
 

@@ -320,8 +320,7 @@ def verify_derivative_correspondence(sub: LatticeSubsystem, rho: StateDensity,
     report = CorrespondenceReport(slot_dim=family.slot_dim, cells=cells)
     g = family.slot_dim
 
-    inc = cluster_inclusion(LatticeSubsystem(sub.parent, sub.level1, cells),
-                            cells, check=False)
+    inc = cluster_inclusion(LatticeSubsystem(sub.parent, sub.level1, cells), cells)
     clu = cluster_system(LatticeSubsystem(sub.parent, sub.level1, cells), cells)
     clu_family = projections_from_subsystem(clu, cells)
 

@@ -30,6 +30,11 @@ class CheckResult:
     details: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
+    def __post_init__(self):
+        # Checks combine numpy comparisons, whose numpy.bool results the
+        # JSON reports cannot serialise.
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name} ({self.elapsed:.2f}s)"
