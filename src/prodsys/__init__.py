@@ -78,8 +78,6 @@ from .hyperspace import (
     boundary_identity_check,
     cb_derivative,
     closed_set,
-    count_in,
-    finite_approximation,
     hausdorff,
     hits,
     misses,
@@ -90,11 +88,9 @@ from .randomsets import (
     CorrespondenceReport,
     ProjectionFamily,
     StateDensity,
-    indicator_projection,
     measure_from_state,
     projections_from_subsystem,
     pushforward_cb,
-    state_equivalence_check,
     verify_derivative_correspondence,
 )
 

@@ -133,11 +133,6 @@ def amalgamate(c1) -> AmalgamResult:
                          morphism=c1)
 
 
-def amalgam_system(res: AmalgamResult, unit: np.ndarray) -> LatticeProductSystem:
-    """Full lattice system on the amalgam slot, pointed at the given unit."""
-    return LatticeProductSystem(res.slot_dim, unit)
-
-
 def spatial_product_in_tensor(u1, u2, depth: int) -> LatticeSubsystem:
     """Spatial-product subsystem inside the tensor of two slot spaces.
 
@@ -174,7 +169,7 @@ def root_space_of_amalgam(res: AmalgamResult, u2, depth: int = 4) -> Subspace:
         raise PartialIsometryError("morphism is not a partial isometry")
     u1 = c @ u2
     common = res.j2 @ u2
-    system = amalgam_system(res, common / np.linalg.norm(common))
+    system = LatticeProductSystem(res.slot_dim, common / np.linalg.norm(common))
     solved = addit_root_space(full_subsystem(system, depth))
 
     perp1 = complement(span(u1))

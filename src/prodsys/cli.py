@@ -28,7 +28,8 @@ from .selfcheck import run_all
 
 MAX_DEPTH = 8
 MAX_SLOT_DIM = 4
-MAX_CELLS = 12
+# thm52 holds a dense g^cells x g^cells state and walks 2^cells masks.
+MAX_FIBER = 1024
 MAX_REFINEMENT = 20
 
 
@@ -277,12 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_caps(parser, args):
     checks = (
         ("g", MAX_SLOT_DIM), ("g1", MAX_SLOT_DIM), ("g2", MAX_SLOT_DIM),
-        ("depth", MAX_DEPTH), ("cells", MAX_CELLS), ("n_max", MAX_REFINEMENT),
+        ("depth", MAX_DEPTH), ("n_max", MAX_REFINEMENT),
     )
     for name, cap in checks:
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= cap:
             parser.error(f"--{name.replace('_', '-')} must be between 1 and {cap}")
+    cells = getattr(args, "cells", None)
+    if cells is not None:
+        if cells < 1:
+            parser.error("--cells must be at least 1")
+        # The bit-length test keeps a huge --cells from building a huge power.
+        if cells >= MAX_FIBER.bit_length() or max(args.g, 2) ** cells > MAX_FIBER:
+            parser.error(f"g^cells must be at most {MAX_FIBER}, with g counted as at least 2")
     level1 = getattr(args, "level1_dim", None)
     if level1 is not None and not 1 <= level1 <= getattr(args, "g"):
         parser.error("--level1-dim must be between 1 and g")

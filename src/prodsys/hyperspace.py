@@ -205,34 +205,6 @@ def boundary(z: ClosedSet) -> ClosedSet:
     return normalize(pts)
 
 
-def count_in(z: ClosedSet, query):
-    """Exact cardinality of z intersected with a closed interval.
-
-    Returns ``math.inf`` when the intersection contains a non-degenerate
-    interval.
-    """
-    lo, hi = _check_interval(*query)
-    count = 0
-    for a, b in z.intervals:
-        cl, ch = max(a, lo), min(b, hi)
-        if cl > ch:
-            continue
-        if cl < ch:
-            return math.inf
-        count += 1
-    return count
-
-
-def interior(z: ClosedSet) -> list[tuple]:
-    """Open interior relative to [0,1], as a list of (lo, hi, lo_closed,
-    hi_closed) quadruples; closed flags appear where an interval end sits
-    on the boundary point 0 or 1."""
-    out = []
-    for a, b in z.solid_parts():
-        out.append((a, b, a == ZERO, b == ONE))
-    return out
-
-
 def _meets_interior(z: ClosedSet, f: ClosedSet) -> bool:
     """Whether z meets the interior of f (relative to [0,1])."""
     common = intersect_sets(z, f)
@@ -286,23 +258,6 @@ def count_via_set(z: ClosedSet, f: ClosedSet):
     if common.solid_parts():
         return math.inf
     return len(common.intervals)
-
-
-def finite_approximation(z: ClosedSet, eps) -> ClosedSet:
-    """Finite point set within Hausdorff distance eps of z (z nonempty)."""
-    eps = _frac(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if z.is_empty:
-        return EMPTY_SET
-    pts = []
-    for a, b in z.intervals:
-        x = a
-        while x < b:
-            pts.append((x, x))
-            x += eps
-        pts.append((b, b))
-    return normalize(pts)
 
 
 # ---------------------------------------------------------------------------

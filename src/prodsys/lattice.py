@@ -106,10 +106,6 @@ class LatticeSubsystem:
         self.generation_defect: Optional[float] = None
 
     @classmethod
-    def from_level1(cls, parent, level1, depth):
-        return cls(parent, level1, depth)
-
-    @classmethod
     def from_levels(cls, parent: LatticeProductSystem, levels: Sequence[Subspace],
                     tol: float = COMPAT_TOL) -> "LatticeSubsystem":
         depth = len(levels)

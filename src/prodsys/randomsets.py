@@ -1,18 +1,33 @@
 """Projection families, random-set laws, and the derivative correspondence.
 
-A product subsystem of the n-cell lattice system induces a commuting family
-of block projections; evaluating a state on their products gives, by
-inclusion-exclusion over excited-cell sets, a finitely supported law of
-random closed subsets of [0,1].  Pushing that law forward under the
-accumulation-point derivative reproduces the law of the cluster system,
-and the corresponding projection identities hold exactly at cell-aligned
-blocks.
+A product subsystem F of the n-cell lattice system has one projection per
+cell, P_i = P1 on cell i and I elsewhere.  A state evaluated on the atoms
+prod_{i in T}(I - P_i) prod_{i not in T} P_i gives, by inclusion-exclusion,
+a finitely supported law of random closed subsets of [0,1]: the excited
+cells T, rendered as points (or as cell intervals).
+
+In the word basis of W^(x)n, W = [F1 | F1^perp] the level-1 frame of
+``cluster.ExcitationFrame``, every P_i is diagonal, and so is each atom,
+each spectral projection of an event on excited-cell sets and each block
+projection I (x) S_{t-s} (x) I of a system given by excited counts: each
+keeps the words whose excited-cell mask T satisfies a predicate.  Only
+masks of nonzero weight f^(n-|T|) (g-f)^|T| hold words.  Two such
+projections are equal when their predicates agree on those masks, up to
+the frame defect ||W*W - I|| <= ``cluster.FRAME_TOL``, and lie at distance
+1 otherwise.  So the verifier compares predicates on masks; the dense
+g^n x g^n projections are only the oracle in the tests.
+
+The cluster inclusion keeps at most one excitation per block, which is the
+content of check 1.  Its level 1 is the whole slot space, so the cluster
+system is the full system: at finite n its block projections are I, as is
+the event of finitely many excitations (check 2), and its law is the point
+mass at the empty set, as is the derivative pushforward of any law of
+finite sets (check 3).  Checks 2 and 3 are identities at finite n.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,11 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cluster import cluster_inclusion, cluster_system
-from .hyperspace import ClosedSet, RandomClosedSetDist, cb_derivative, normalize
-from .lattice import LatticeProductSystem, LatticeSubsystem
+from .cluster import FRAME_TOL, ExcitationFrame
+from .hyperspace import (EMPTY_SET, ClosedSet, RandomClosedSetDist, cb_derivative,
+                         normalize)
+from .lattice import LatticeSubsystem
 
-EVOLUTION_TOL = 1e-12
 CHECK_TOL = 1e-10
 NEGATIVITY_TOL = 1e-12
 
@@ -85,12 +100,11 @@ class StateDensity:
 
 
 class ProjectionFamily:
-    """Evolution-adapted block projections attached to a subsystem.
+    """Cell projections P_i of a subsystem, diagonal in the words of ``frame``.
 
-    P_{r,t} acts as the level-(t-r) subsystem projector on slots r..t and
-    as the identity elsewhere.  Product compatibility of the subsystem
-    makes the evolution identity P_{r,s} P_{s,t} = P_{r,t} hold by the
-    Kronecker block structure.
+    ``masks`` lists the excited-cell masks T (bit i for cell i) that hold
+    words; a predicate on them fixes a projection up to ``frame.defect``.
+    Only the g x g slot projector P1 is held as a matrix.
     """
 
     def __init__(self, subsystem: LatticeSubsystem, cells: int):
@@ -102,40 +116,16 @@ class ProjectionFamily:
         self.subsystem = subsystem
         self.cells = cells
         self.slot_dim = subsystem.parent.slot_dim
+        self.frame = ExcitationFrame(subsystem.level1)
         self._p1 = subsystem.level1.projector()
-        self._verify_evolution()
-
-    def _verify_evolution(self):
-        g = self.slot_dim
-        for a in range(1, self.cells):
-            for b in range(1, self.cells - a + 1):
-                if g ** (a + b) > 729:
-                    continue
-                lhs = np.kron(self.block_factor(a), self.block_factor(b))
-                defect = np.linalg.norm(lhs - self.block_factor(a + b), 2)
-                if defect > EVOLUTION_TOL:
-                    raise AssertionError(
-                        f"evolution identity fails at ({a},{b}): defect {defect:.2e}")
 
     def slot_projector(self) -> np.ndarray:
         return self._p1
 
-    def block_factor(self, m: int) -> np.ndarray:
-        out = np.ones((1, 1), dtype=complex)
-        for _ in range(m):
-            out = np.kron(out, self._p1)
-        return out
-
-    def block_matrix(self, r: int, t: int) -> np.ndarray:
-        """P_{r,t} on the full n-cell fiber, for integer 0 <= r < t <= n."""
-        if not 0 <= r < t <= self.cells:
-            raise ValueError("block must satisfy 0 <= r < t <= n")
-        g = self.slot_dim
-        return np.kron(np.kron(np.eye(g ** r, dtype=complex), self.block_factor(t - r)),
-                       np.eye(g ** (self.cells - t), dtype=complex))
-
-    def cell_matrix(self, i: int) -> np.ndarray:
-        return self.block_matrix(i, i + 1)
+    def masks(self) -> list[int]:
+        """Excited-cell masks of nonzero weight, in increasing order."""
+        n = self.cells
+        return [mask for mask in range(2 ** n) if self.frame.size(n, mask.bit_count())]
 
 
 def projections_from_subsystem(sub: LatticeSubsystem, cells: int) -> ProjectionFamily:
@@ -240,41 +230,26 @@ def pushforward_cb(dist: RandomClosedSetDist) -> RandomClosedSetDist:
     return dist.map(cb_derivative)
 
 
-def indicator_projection(family: ProjectionFamily,
-                         event: Callable[[frozenset], bool]) -> np.ndarray:
-    """Spectral projection of an event on excited-cell sets.
-
-    Sums, over the cell sets T satisfying the event, the commuting atoms
-    prod_{i in T}(I - P_i) prod_{i not in T} P_i.  The constant-true event
-    yields the identity.
-    """
-    n, g = family.cells, family.slot_dim
-    p1 = family.slot_projector()
-    q1 = np.eye(g, dtype=complex) - p1
-    out = np.zeros((g ** n, g ** n), dtype=complex)
-    for mask in range(2 ** n):
-        cells = frozenset(i for i in range(n) if mask >> i & 1)
-        if not event(cells):
-            continue
-        atom = np.ones((1, 1), dtype=complex)
-        for i in range(n):
-            atom = np.kron(atom, q1 if mask >> i & 1 else p1)
-        out += atom
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the derivative correspondence verifier
 
 
 @dataclass
 class CorrespondenceReport:
-    """Outcome of the three derivative-correspondence checks."""
+    """Outcome of the three derivative-correspondence checks.
+
+    ``path`` names how it was computed: "structured" for predicates on
+    excited-cell masks.  ``frame_defect`` is ||W*W - I||_2 of the level-1
+    frame, and ``frame_tol`` the bound it was checked against.
+    """
 
     slot_dim: int
     cells: int
     checks: list = field(default_factory=list)
     measure: Optional[RandomClosedSetDist] = None
+    path: str = "structured"
+    frame_defect: float = 0.0
+    frame_tol: float = FRAME_TOL
 
     @property
     def passed(self) -> bool:
@@ -291,82 +266,81 @@ class CorrespondenceReport:
         if self.measure is not None:
             measure = [{"atom": str(atom), "prob": f"{p.numerator}/{p.denominator}"}
                        for atom, p in self.measure.atoms]
-        return {"checks": [dict(c) for c in self.checks], "measure": measure}
+        return {"checks": [dict(c) for c in self.checks], "measure": measure,
+                "path": self.path, "frame_defect": self.frame_defect,
+                "frame_tol": self.frame_tol}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _measures_agree(a: RandomClosedSetDist, b: RandomClosedSetDist,
-                    tol: float = CHECK_TOL) -> float:
+def _measures_agree(a: RandomClosedSetDist, b: RandomClosedSetDist) -> float:
     atoms = a.support() | b.support()
     return max(abs(float(a.probability(cs) - b.probability(cs))) for cs in atoms)
+
+
+def _check_blocks(report: CorrespondenceReport, name: str, family: ProjectionFamily,
+                  event: Callable[[int], bool], counts: Callable[[int], frozenset],
+                  detail: str):
+    """Compare, on every block [s, t) and mask T, ``event(k)`` with
+    k in ``counts(t - s)``, for k = |T & [s, t)|."""
+    n = family.cells
+    masks = family.masks()
+    for s in range(n):
+        for t in range(s + 1, n + 1):
+            block = ((1 << (t - s)) - 1) << s
+            allowed = counts(t - s)
+            for mask in masks:
+                k = (mask & block).bit_count()
+                if event(k) != (k in allowed):
+                    cells = [i for i in range(n) if mask >> i & 1]
+                    report.add(name, False, 1.0,
+                               f"block {(s, t)}: excited cells {cells} lie in one "
+                               "projection only")
+                    return
+    report.add(name, True, family.frame.defect,
+               f"{n * (n + 1) // 2} blocks x {len(masks)} masks; {detail}")
 
 
 def verify_derivative_correspondence(sub: LatticeSubsystem, rho: StateDensity,
                                      cells: int) -> CorrespondenceReport:
     """Check the cluster/derivative correspondence on an n-cell lattice.
 
-    Three checks, each required to pass within 1e-10:
+    Each check compares predicates on the excited-cell masks of nonzero
+    weight (module docstring).  It reports the frame defect as
+    ``max_defect`` when they agree, and 1.0 at the first mismatch.
 
-    1. the at-most-one-excitation event maps to the cluster-inclusion
-       block projection, for every cell-aligned block;
-    2. the finitely-many-excitations event (constant true here) maps to
-       the cluster-system block projection;
-    3. the derivative pushforward of the subsystem's law equals the law of
-       its cluster system, atom by atom.
+    1. ``single_excitation_blocks``: the event |T & [s, t)| <= 1 against
+       the cluster inclusion's block projection, ``frame.inclusion``.
+    2. ``finite_excitation_blocks``: the constant-true event against the
+       cluster system's block projection, the counts generated by
+       ``frame.inclusion(1)``, which holds every class.  Identity at finite n.
+    3. ``derivative_pushforward``: the pushforward of the subsystem's law
+       against the cluster law, the point mass at the empty set, since every
+       cell projection of the full system is I.  Identity at finite n.
+
+    ``report.measure`` is the subsystem's exact law.  The dense projections
+    these checks stand for are the oracle in tests/test_randomsets.py.
     """
     family = projections_from_subsystem(sub, cells)
-    report = CorrespondenceReport(slot_dim=family.slot_dim, cells=cells)
-    g = family.slot_dim
+    frame = family.frame
+    report = CorrespondenceReport(slot_dim=family.slot_dim, cells=cells,
+                                  frame_defect=frame.defect)
 
-    inc = cluster_inclusion(LatticeSubsystem(sub.parent, sub.level1, cells), cells)
-    clu = cluster_system(LatticeSubsystem(sub.parent, sub.level1, cells), cells)
-    clu_family = projections_from_subsystem(clu, cells)
-
-    worst = 0.0
-    worst_block = None
-    for s in range(cells):
-        for t in range(s + 1, cells + 1):
-            block = frozenset(range(s, t))
-            lhs = indicator_projection(
-                family, lambda cs, blk=block: len(cs & blk) <= 1)
-            rhs = np.kron(np.kron(np.eye(g ** s, dtype=complex),
-                                  inc.level(t - s).projector()),
-                          np.eye(g ** (cells - t), dtype=complex))
-            defect = float(np.linalg.norm(lhs - rhs, 2))
-            if defect > worst:
-                worst, worst_block = defect, (s, t)
-    report.add("single_excitation_blocks", worst <= CHECK_TOL, worst,
-               f"worst block {worst_block}" if worst > CHECK_TOL else "")
-
-    pi_true = indicator_projection(family, lambda cs: True)
-    worst = 0.0
-    worst_block = None
-    for s in range(cells):
-        for t in range(s + 1, cells + 1):
-            rhs = clu_family.block_matrix(s, t)
-            defect = float(np.linalg.norm(pi_true - rhs, 2))
-            if defect > worst:
-                worst, worst_block = defect, (s, t)
-    report.add("finite_excitation_blocks", worst <= CHECK_TOL, worst,
-               f"worst block {worst_block}" if worst > CHECK_TOL else "")
+    _check_blocks(report, "single_excitation_blocks", family,
+                  lambda k: k <= 1, frame.inclusion,
+                  "the cluster inclusion keeps at most one excitation per block")
+    _check_blocks(report, "finite_excitation_blocks", family,
+                  lambda k: True, frame.generated,
+                  "identity at finite n: cluster level 1 is the whole slot "
+                  "space, so every block projection of the cluster system is I")
 
     law = measure_from_state(family, rho)
-    pushed = pushforward_cb(law)
-    cluster_law = measure_from_state(clu_family, rho)
-    defect = _measures_agree(pushed, cluster_law)
-    report.add("derivative_pushforward", defect <= CHECK_TOL, defect)
+    cluster_law = RandomClosedSetDist.from_atoms([(EMPTY_SET, Fraction(1))])
+    defect = _measures_agree(pushforward_cb(law), cluster_law)
+    report.add("derivative_pushforward", defect <= CHECK_TOL, defect,
+               "identity at finite n: the cluster law is the point mass at the "
+               "empty set, and the derivative of a finite set is empty")
 
     report.measure = law
     return report
-
-
-def state_equivalence_check(family: ProjectionFamily, rho1: StateDensity,
-                            rho2: StateDensity) -> bool:
-    """Whether two faithful states induce equivalent (same-support) laws."""
-    if not (rho1.is_faithful and rho2.is_faithful):
-        raise ValueError("state equivalence requires faithful states")
-    law1 = measure_from_state(family, rho1)
-    law2 = measure_from_state(family, rho2)
-    return law1.support() == law2.support()

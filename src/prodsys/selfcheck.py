@@ -85,10 +85,7 @@ def check_root_index_match(seed: int = 0) -> CheckResult:
         index = fock.index_from_units(units)
         rows.append({"g": g, "root_dim": root.rank, "index": index})
         ok = ok and root.rank == g - 1 == index
-    result = CheckResult("root_index_match", ok, {"rows": rows})
-    if result.passed and rows:
-        result.passed = True
-    return result
+    return CheckResult("root_index_match", ok, {"rows": rows})
 
 
 @_timed

@@ -17,6 +17,8 @@ CASES = [
     (["cluster", "--g", "4", "--depth", "8"], "pass"),
     (["thm52", "--g", "2", "--cells", "3"], "pass"),
     (["thm52", "--g", "3", "--cells", "3", "--state", "diag", "--level1-dim", "2"], "pass"),
+    # g^cells = 1024, the largest fiber the CLI accepts.
+    (["thm52", "--g", "2", "--cells", "10"], "pass"),
     (["hausdorff", "--denominator", "16", "--trials", "20"], "pass"),
     (["selftest"], "pass"),
 ]
@@ -33,3 +35,17 @@ def test_subcommand_writes_passing_json(argv, flag, tmp_path):
     else:
         assert report[flag] is True
 
+
+# The dense thm52 state is g^cells x g^cells, so 4^12 would ask for 4 PiB.
+OVERSIZED = [
+    ["thm52", "--g", "4", "--cells", "12"],
+    ["thm52", "--g", "2", "--cells", "11"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a) for a in OVERSIZED])
+def test_oversized_fiber_is_rejected(argv, tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--out", str(out)])
+    assert not out.exists()
