@@ -79,10 +79,7 @@ from .hyperspace import (
     cb_derivative,
     closed_set,
     hausdorff,
-    hits,
-    misses,
     normalize,
-    parse_closed_set,
 )
 from .randomsets import (
     CorrespondenceReport,

@@ -68,12 +68,6 @@ class SlotMorphism:
     def source_dim(self) -> int:
         return self.matrix.shape[1]
 
-    def level_action(self, n: int) -> np.ndarray:
-        out = np.ones((1, 1), dtype=complex)
-        for _ in range(n):
-            out = np.kron(out, self.matrix)
-        return out
-
     def is_partial_isometry(self, tol: float = INVARIANT_TOL) -> bool:
         c = self.matrix
         return bool(np.linalg.norm(c @ c.conj().T @ c - c, 2) <= tol) if c.size else True

@@ -1,9 +1,9 @@
 """Exact model of the hyperspace of closed subsets of the unit interval.
 
 Closed sets are finite unions of disjoint closed rational intervals
-(degenerate intervals are points), so the Hausdorff metric, hit/miss
-predicates, topological boundary and the accumulation-point derivative are
-all computable in exact rational arithmetic.  On this representation class
+(degenerate intervals are points), so the Hausdorff metric, the
+topological boundary and the accumulation-point derivative are all
+computable in exact rational arithmetic.  On this representation class
 the derivative is precisely "drop the isolated points": accumulation
 points are the points of the non-degenerate intervals.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,18 +98,6 @@ def closed_set(*intervals) -> ClosedSet:
     return normalize(raw)
 
 
-def parse_closed_set(text: str) -> ClosedSet:
-    """Inverse of str(): semicolon-separated 'a/b..c/d' tokens."""
-    text = text.strip()
-    if not text:
-        return EMPTY_SET
-    raw = []
-    for token in text.split(";"):
-        lo, hi = token.strip().split("..")
-        raw.append((Fraction(lo), Fraction(hi)))
-    return normalize(raw)
-
-
 # ---------------------------------------------------------------------------
 # metric
 
@@ -148,20 +136,6 @@ def hausdorff(a: ClosedSet, b: ClosedSet) -> Fraction:
     if a.is_empty or b.is_empty:
         return ONE
     return max(_directed(a, b), _directed(b, a))
-
-
-# ---------------------------------------------------------------------------
-# hit and miss predicates
-
-
-def hits(z: ClosedSet, query) -> bool:
-    """Whether z meets the closed rational interval ``query``."""
-    lo, hi = _check_interval(*query)
-    return any(a <= hi and b >= lo for a, b in z.intervals)
-
-
-def misses(z: ClosedSet, query) -> bool:
-    return not hits(z, query)
 
 
 def intersect_sets(z: ClosedSet, w: ClosedSet) -> ClosedSet:

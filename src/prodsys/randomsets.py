@@ -1,10 +1,14 @@
 """Projection families, random-set laws, and the derivative correspondence.
 
 A product subsystem F of the n-cell lattice system has one projection per
-cell, P_i = P1 on cell i and I elsewhere.  A state evaluated on the atoms
-prod_{i in T}(I - P_i) prod_{i not in T} P_i gives, by inclusion-exclusion,
-a finitely supported law of random closed subsets of [0,1]: the excited
-cells T, rendered as points (or as cell intervals).
+cell, P_i = P1 on cell i and I elsewhere.  The excited-cell mask T (bit i
+for cell i) has the atom (x)_i Q_i, with Q_i = I - P1 on excited cells and
+P1 elsewhere, and a state gives it the probability tr(rho (x)_i Q_i).
+These atoms form a finitely supported law of random closed subsets of
+[0,1]: the excited cells T, rendered as points (or as cell intervals).
+The tracial state gives each atom in closed form; any other state is
+contracted one cell at a time against the stack [P1, I - P1], which yields
+all 2^n atoms in one pass, with nothing to cancel.
 
 In the word basis of W^(x)n, W = [F1 | F1^perp] the level-1 frame of
 ``cluster.ExcitationFrame``, every P_i is diagonal, and so is each atom,
@@ -49,7 +53,8 @@ class NonzeroProjectionError(ValueError):
 
 
 class InconsistentFamilyError(ValueError):
-    """Inclusion-exclusion produced a significantly negative probability."""
+    """An atom's probability is significantly negative (the state is not
+    positive semidefinite), or the atoms do not sum to one."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,9 @@ class StateDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density must be a square matrix")
-        if np.linalg.norm(m - m.conj().T, 2) > 1e-12:
+        skew = m - m.conj().T
+        # ||skew||_2 <= ||skew||_F, so the cheap norm settles most inputs.
+        if np.linalg.norm(skew) > 1e-12 and np.linalg.norm(skew, 2) > 1e-12:
             raise ValueError("density must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-12:
             raise ValueError("density must have unit trace")
@@ -74,7 +81,11 @@ class StateDensity:
 
     @property
     def is_faithful(self) -> bool:
-        return bool(np.linalg.eigvalsh(self.matrix)[0] > 1e-12)
+        m = self.matrix
+        d = np.diag(m)
+        if np.any(m - np.diag(d)):
+            return bool(np.linalg.eigvalsh(m)[0] > 1e-12)
+        return bool(d.real.min() > 1e-12)
 
     @property
     def is_tracial(self) -> bool:
@@ -136,7 +147,7 @@ def projections_from_subsystem(sub: LatticeSubsystem, cells: int) -> ProjectionF
 
 
 # ---------------------------------------------------------------------------
-# measures by inclusion-exclusion
+# laws from per-cell contraction
 
 
 def _cells_to_set(mask: int, n: int, as_intervals: bool) -> ClosedSet:
@@ -148,77 +159,57 @@ def _cells_to_set(mask: int, n: int, as_intervals: bool) -> ClosedSet:
     return normalize(raw)
 
 
-def _vacuum_weights(family: ProjectionFamily, rho: StateDensity):
-    """q(A) = tr(rho * prod_{i in A} P_i) for every cell set A (bitmask).
+def _atom_weights(family: ProjectionFamily, rho: StateDensity) -> list[Fraction]:
+    """tr(rho (x)_i Q_i) for every excited-cell mask T, indexed by mask.
 
-    Uses exact rational arithmetic for the tracial state (traces of the
-    Kronecker factors are integers); otherwise evaluates the dense trace
-    and keeps the exact binary rational of each float.
+    The tracial state gives the exact rationals (f/g)^(n-|T|) ((g-f)/g)^|T|.
+    Any other state is contracted one cell at a time, cell 0 (the leading
+    Kronecker factor) first, against the stack [P1, I - P1]; each float is
+    kept as its exact binary rational.
     """
     n, g = family.cells, family.slot_dim
     if rho.dim != g ** n:
         raise ValueError("state dimension does not match the cell fiber")
     if rho.is_tracial:
-        r = family.subsystem.level1.rank
-        base = Fraction(r, g)
-        return [base ** bin(mask).count("1") for mask in range(2 ** n)]
+        inside = Fraction(family.subsystem.level1.rank, g)
+        return [inside ** (n - mask.bit_count()) * (1 - inside) ** mask.bit_count()
+                for mask in range(2 ** n)]
     p1 = family.slot_projector()
-    diag_ok = (np.allclose(rho.matrix, np.diag(np.diag(rho.matrix)), atol=1e-14)
-               and np.allclose(p1, np.diag(np.diag(p1)), atol=1e-14))
-    out = []
-    if diag_ok:
-        rho_diag = np.diag(rho.matrix).real
-        p_diag = np.diag(p1).real
-        ones = np.ones(g)
-        for mask in range(2 ** n):
-            weight = np.ones(1)
-            for i in range(n):
-                weight = np.kron(weight, p_diag if mask >> i & 1 else ones)
-            out.append(Fraction(float(rho_diag @ weight)))
-        return out
-    eye = np.eye(g, dtype=complex)
-    for mask in range(2 ** n):
-        op = np.ones((1, 1), dtype=complex)
-        for i in range(n):
-            op = np.kron(op, p1 if mask >> i & 1 else eye)
-        out.append(Fraction(float(np.trace(rho.matrix @ op).real)))
-    return out
+    stack = np.stack([p1, np.eye(g) - p1])
+    # x[m, a, b]: mask m of the cells done so far, row and column words of
+    # the cells still to do.  The new cell's bit is the highest so far.
+    x = rho.matrix[None]
+    for _ in range(n):
+        masks, rest = x.shape[0], x.shape[1] // g
+        x = x.reshape(masks, g, rest, g, rest)
+        x = np.tensordot(stack, x, axes=([1, 2], [3, 1]))
+        x = x.reshape(2 * masks, rest, rest)
+    return [Fraction(float(w)) for w in x.real.reshape(-1)]
 
 
 def measure_from_state(family: ProjectionFamily, rho: StateDensity,
                        cells_as_intervals: bool = False) -> RandomClosedSetDist:
     """Random-closed-set law of the projection family under a state.
 
-    Atom probabilities come from inclusion-exclusion over excited-cell
-    sets:  p(T) = sum over C subset T of (-1)^|T-C| q(complement of C).
-    Excited cells are rendered as their left endpoints (or as full cell
-    intervals when ``cells_as_intervals`` is set).  Probabilities are exact
-    rationals normalised to total one.
+    The atom of the excited-cell mask T has probability tr(rho (x)_i Q_i):
+    exact rationals for the tracial state, otherwise one contraction of
+    rho against [P1, I - P1] per cell with each float kept as its exact
+    binary rational.  Atoms above -``NEGATIVITY_TOL`` are clamped at zero;
+    a lower one raises ``InconsistentFamilyError``.  Excited cells are
+    rendered as their left endpoints (or as full cell intervals when
+    ``cells_as_intervals`` is set).  Probabilities are normalised to total
+    one.
     """
     if not rho.is_faithful:
         warnings.warn("state is not faithful; measure-type claims are suspended",
                       stacklevel=2)
     n = family.cells
-    full = (1 << n) - 1
-    q = _vacuum_weights(family, rho)
     atoms = []
-    for t_mask in range(2 ** n):
-        bits_t = bin(t_mask).count("1")
-        p = Fraction(0)
-        c_mask = t_mask
-        while True:
-            sign = -1 if (bits_t - bin(c_mask).count("1")) % 2 else 1
-            p += sign * q[full ^ c_mask]
-            if c_mask == 0:
-                break
-            c_mask = (c_mask - 1) & t_mask
-        if p < 0:
-            if p < -NEGATIVITY_TOL:
-                raise InconsistentFamilyError(
-                    f"atom {t_mask:b} has probability {float(p):.3e}")
-            p = Fraction(0)
+    for mask, p in enumerate(_atom_weights(family, rho)):
+        if p < -NEGATIVITY_TOL:
+            raise InconsistentFamilyError(f"atom {mask:b} has probability {float(p):.3e}")
         if p > 0:
-            atoms.append((_cells_to_set(t_mask, n, cells_as_intervals), p))
+            atoms.append((_cells_to_set(mask, n, cells_as_intervals), p))
     total = sum(p for _, p in atoms)
     if abs(float(total) - 1.0) > CHECK_TOL:
         raise InconsistentFamilyError(f"probabilities sum to {float(total)!r}")

@@ -1,4 +1,5 @@
-"""Derivative-correspondence verifier against the dense projection oracle.
+"""Random-set laws and the derivative-correspondence verifier against
+dense oracles.
 
 The verifier decides its three checks on excited-cell masks.  The oracle
 here builds the g^n x g^n operators those masks stand for: spectral
@@ -7,6 +8,11 @@ projections I (x) S_{t-s} (x) I of the cluster inclusion and the cluster
 system, compared in operator norm.  It also checks the mask picture
 itself: in the word basis of the level-1 frame each projection is the
 diagonal 0/1 matrix of its mask predicate.
+
+``measure_from_state`` contracts the state one cell at a time.  Its oracle
+here takes the vacuum weights q(A) = tr(rho prod_{i in A} P_i) by dense
+Kronecker products and recovers the atoms by inclusion-exclusion over all
+3^n pairs of nested cell sets.
 """
 
 from fractions import Fraction
@@ -18,11 +24,13 @@ from prodsys import cluster as cl
 from prodsys import lattice as lt
 from prodsys import linalg as la
 from prodsys import randomsets as rs
-from prodsys.hyperspace import EMPTY_SET
+from prodsys.hyperspace import EMPTY_SET, RandomClosedSetDist
 
 ORACLE_TOL = 1e-10
 SIZES = ((2, 6), (3, 4), (4, 4))
 CASES = [(g, n, f) for g, n in SIZES for f in range(1, g + 1)]
+LAW_CASES = CASES + [(2, 8, 1), (2, 8, 2)]
+LAW_TOL = 1e-12
 CHECK_NAMES = ["single_excitation_blocks", "finite_excitation_blocks",
                "derivative_pushforward"]
 
@@ -47,6 +55,57 @@ def indicator_projection(family, event):
             atom = np.kron(atom, q1 if mask >> i & 1 else p1)
         out += atom
     return out
+
+
+def vacuum_weights(family, rho):
+    """q(A) = tr(rho prod_{i in A} P_i) for every cell set A (bit i for cell i).
+
+    Exact rationals for the tracial state, whose Kronecker factors have
+    integer traces; otherwise the dense trace, cell 0 the leading Kronecker
+    factor, with each float kept as its exact binary rational.
+    """
+    n, g = family.cells, family.slot_dim
+    if rho.is_tracial:
+        base = Fraction(family.subsystem.level1.rank, g)
+        return [base ** bin(mask).count("1") for mask in range(2 ** n)]
+    p1 = family.slot_projector()
+    eye = np.eye(g)
+    out = []
+    for mask in range(2 ** n):
+        op = np.ones((1, 1))
+        for i in range(n):
+            op = np.kron(op, p1 if mask >> i & 1 else eye)
+        out.append(Fraction(float(np.einsum("ij,ji->", rho.matrix, op).real)))
+    return out
+
+
+def inclusion_exclusion_law(family, rho):
+    """The law with p(T) = sum over C subset T of (-1)^|T-C| q(complement of C),
+    clamped at zero above -NEGATIVITY_TOL and normalised to total one."""
+    n = family.cells
+    full = (1 << n) - 1
+    q = vacuum_weights(family, rho)
+    atoms = []
+    for t_mask in range(2 ** n):
+        bits_t = bin(t_mask).count("1")
+        p = Fraction(0)
+        c_mask = t_mask
+        while True:
+            sign = -1 if (bits_t - bin(c_mask).count("1")) % 2 else 1
+            p += sign * q[full ^ c_mask]
+            if c_mask == 0:
+                break
+            c_mask = (c_mask - 1) & t_mask
+        assert p >= -rs.NEGATIVITY_TOL
+        if p > 0:
+            atoms.append((rs._cells_to_set(t_mask, n, False), p))
+    total = sum(p for _, p in atoms)
+    return RandomClosedSetDist.from_atoms((cs, p / total) for cs, p in atoms)
+
+
+def _atom_gap(a, b):
+    pa, pb = dict(a.atoms), dict(b.atoms)
+    return max(abs(float(pa.get(cs, 0) - pb.get(cs, 0))) for cs in pa.keys() | pb.keys())
 
 
 def _block_matrix(projector, g, n, s, t):
@@ -185,3 +244,69 @@ def test_full_system_law_is_point_mass_at_empty_set(g, n, state):
     family = rs.projections_from_subsystem(full, n)
     law = rs.measure_from_state(family, _state(state, g, n))
     assert law.atoms == ((EMPTY_SET, Fraction(1)),)
+
+
+@pytest.mark.parametrize("state", ["tracial", "diag", "dense"])
+@pytest.mark.parametrize("g,n,f", LAW_CASES, ids=[f"g{g}-n{n}-f{f}" for g, n, f in LAW_CASES])
+def test_law_matches_inclusion_exclusion_oracle(g, n, f, state):
+    family = rs.projections_from_subsystem(_subsystem(g, n, f), n)
+    rho = _state(state, g, n)
+    law = rs.measure_from_state(family, rho)
+    oracle = inclusion_exclusion_law(family, rho)
+    if state == "tracial":
+        assert law.atoms == oracle.atoms
+    else:
+        assert _atom_gap(law, oracle) <= LAW_TOL
+
+
+def test_diagonal_state_with_nondiagonal_projector_matches_oracle():
+    g, n, f = 3, 5, 2
+    sub = _subsystem(g, n, f)
+    family = rs.projections_from_subsystem(sub, n)
+    p1 = family.slot_projector()
+    assert np.max(np.abs(p1 - np.diag(np.diag(p1)))) > 0.1
+    rho = _state("diag", g, n)
+    assert not np.any(rho.matrix - np.diag(np.diag(rho.matrix)))
+    law = rs.measure_from_state(family, rho)
+    assert _atom_gap(law, inclusion_exclusion_law(family, rho)) <= LAW_TOL
+    assert rs.verify_derivative_correspondence(sub, rho, n).passed
+
+
+@pytest.mark.filterwarnings("ignore:state is not faithful")
+@pytest.mark.parametrize("rotate", [False, True])
+def test_non_psd_state_raises(rotate):
+    # With level 1 = C e0 the atom of mask T is the weight of the word T.
+    g, n = 2, 2
+    v = np.eye(g, dtype=complex)
+    if rotate:
+        a = np.random.default_rng(5).normal(size=(g, g, 2)) @ [1, 1j]
+        v = np.linalg.qr(a)[0]
+    vn = np.kron(v, v)
+    rho = rs.StateDensity(vn @ np.diag([0.6, 0.6, -0.4, 0.2]) @ vn.conj().T)
+    sub = lt.LatticeSubsystem(lt.standard_system(g), la.orthonormalize(v[:, :1]), n)
+    with pytest.raises(rs.InconsistentFamilyError, match="probability"):
+        rs.measure_from_state(rs.projections_from_subsystem(sub, n), rho)
+
+
+@pytest.mark.parametrize("dim,eps,accepted", [(2, 1e-13, True), (2, 1e-11, False),
+                                              (256, 4e-13, True), (256, 1e-11, False)])
+def test_state_density_hermiticity_tolerance(dim, eps, accepted):
+    # Anti-Hermitian part of 2-norm eps; at dim 256 its Frobenius norm
+    # exceeds the tolerance even when the 2-norm does not.
+    skew = np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    m = np.eye(dim) / dim + eps * skew
+    if accepted:
+        rs.StateDensity(m)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            rs.StateDensity(m)
+
+
+def test_is_faithful():
+    rng = np.random.default_rng(3)
+    assert rs.StateDensity.diagonal([1.0, 2.0, 1.0, 4.0]).is_faithful
+    assert not rs.StateDensity.diagonal([1.0, 0.0, 1.0, 4.0]).is_faithful
+    assert rs.StateDensity.random_faithful(4, rng).is_faithful
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rotated = u @ np.diag([0.5, 0.0, 0.25, 0.25]) @ u.conj().T
+    assert not rs.StateDensity(rotated).is_faithful
