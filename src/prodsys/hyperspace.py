@@ -264,6 +264,23 @@ class RandomClosedSetDist:
         ordered = sorted(merged.items(), key=lambda kv: kv[0].intervals)
         return cls(tuple(ordered))
 
+    @classmethod
+    def from_weights(cls, atoms: Iterable) -> "RandomClosedSetDist":
+        """Law of (key, set, a) triples: each set has probability a / sum(a).
+
+        The weights a are positive integers, so the probabilities sum to
+        exactly one.  Each key orders its set as ``from_atoms`` does (by
+        ``intervals``), and distinct keys mark distinct sets: no set or
+        Fraction is compared.
+        """
+        ordered = sorted(atoms, key=lambda atom: atom[0])
+        if any(a <= 0 for _, _, a in ordered):
+            raise ValueError("weights must be positive")
+        if any(k1 == k2 for (k1, _, _), (k2, _, _) in zip(ordered, ordered[1:])):
+            raise ValueError("atoms must be distinct")
+        total = sum(a for _, _, a in ordered)
+        return cls(tuple((cs, Fraction(a, total)) for _, cs, a in ordered))
+
     def probability(self, cs: ClosedSet) -> Fraction:
         for atom, p in self.atoms:
             if atom == cs:

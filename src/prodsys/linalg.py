@@ -150,7 +150,8 @@ def contains(a: Subspace, b: Subspace, tol: float = CONTAIN_TOL) -> bool:
     if b.rank == 0:
         return True
     residual = b.basis - a.basis @ (a.basis.conj().T @ b.basis)
-    return np.linalg.norm(residual, 2) < tol
+    # ||R||_2 <= ||R||_F, so the cheap norm settles most inputs.
+    return bool(np.linalg.norm(residual) < tol or np.linalg.norm(residual, 2) < tol)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

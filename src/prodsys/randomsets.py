@@ -8,7 +8,12 @@ These atoms form a finitely supported law of random closed subsets of
 [0,1]: the excited cells T, rendered as points (or as cell intervals).
 The tracial state gives each atom in closed form; any other state is
 contracted one cell at a time against the stack [P1, I - P1], which yields
-all 2^n atoms in one pass, with nothing to cancel.
+all 2^n atoms in one pass, with nothing to cancel.  The law is built
+straight from the masks: every weight is an integer over one common
+denominator (g^n for the tracial state, a power of two for float atoms),
+each mask renders through its integer runs of excited cells at the
+endpoints i/n, and the atoms are sorted by those runs, so no Fraction is
+compared or summed.  Only masks that hold words get an atom.
 
 In the word basis of W^(x)n, W = [F1 | F1^perp] the level-1 frame of
 ``cluster.ExcitationFrame``, every P_i is diagonal, and so is each atom,
@@ -40,12 +45,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cluster import FRAME_TOL, ExcitationFrame
-from .hyperspace import (EMPTY_SET, ClosedSet, RandomClosedSetDist, cb_derivative,
-                         normalize)
+from .hyperspace import EMPTY_SET, ClosedSet, RandomClosedSetDist, cb_derivative
 from .lattice import LatticeSubsystem
 
 CHECK_TOL = 1e-10
 NEGATIVITY_TOL = 1e-12
+FAITHFUL_TOL = 1e-12
 
 
 class NonzeroProjectionError(ValueError):
@@ -81,16 +86,25 @@ class StateDensity:
 
     @property
     def is_faithful(self) -> bool:
+        """Whether the smallest eigenvalue exceeds ``FAITHFUL_TOL``.
+
+        A diagonal state is read off its diagonal.  Otherwise rho - tol I
+        must be positive definite, which one Schur step decides without
+        an eigendecomposition (``_exceeds``).
+        """
         m = self.matrix
-        d = np.diag(m)
-        if np.any(m - np.diag(d)):
-            return bool(np.linalg.eigvalsh(m)[0] > 1e-12)
-        return bool(d.real.min() > 1e-12)
+        d = np.diagonal(m)
+        if np.count_nonzero(m) > np.count_nonzero(d):
+            return _exceeds(m, FAITHFUL_TOL)
+        return bool(d.real.min() > FAITHFUL_TOL)
 
     @property
     def is_tracial(self) -> bool:
-        d = self.dim
-        return bool(np.allclose(self.matrix, np.eye(d) / d, atol=1e-15, rtol=0.0))
+        m, d = self.matrix, self.dim
+        # The O(d) diagonal settles every state but the tracial one.
+        if not np.allclose(np.diagonal(m), 1.0 / d, atol=1e-15, rtol=0.0):
+            return False
+        return bool(np.allclose(m, np.eye(d) / d, atol=1e-15, rtol=0.0))
 
     @classmethod
     def tracial(cls, dim: int) -> "StateDensity":
@@ -108,6 +122,29 @@ class StateDensity:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = a @ a.conj().T + 0.1 * np.eye(dim)
         return cls(m / np.trace(m).real)
+
+
+def _exceeds(m: np.ndarray, shift: float) -> bool:
+    """Whether the Hermitian matrix m, read from its lower triangle, has all
+    eigenvalues above ``shift``.
+
+    That is, whether m - shift I = [[A, B], [B*, C]] - shift I is positive
+    definite: exactly when the leading block A - shift I has a Cholesky
+    factor L, and the Schur complement C - shift I - Y* Y, with Y = L^-1 B,
+    has one too.  Only blocks of m are copied, never all of it.
+    """
+    h = m.shape[0] // 2
+    a = m[:h, :h].copy()
+    a.flat[::h + 1] -= shift
+    try:
+        low = np.linalg.cholesky(a)
+        y = np.linalg.solve(low, m[h:, :h].conj().T)
+        s = m[h:, h:] - y.conj().T @ y
+        s.flat[::s.shape[0] + 1] -= shift
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class ProjectionFamily:
@@ -136,7 +173,8 @@ class ProjectionFamily:
     def masks(self) -> list[int]:
         """Excited-cell masks of nonzero weight, in increasing order."""
         n = self.cells
-        return [mask for mask in range(2 ** n) if self.frame.size(n, mask.bit_count())]
+        counts = self.frame.counts(n)
+        return [mask for mask in range(2 ** n) if mask.bit_count() in counts]
 
 
 def projections_from_subsystem(sub: LatticeSubsystem, cells: int) -> ProjectionFamily:
@@ -150,41 +188,69 @@ def projections_from_subsystem(sub: LatticeSubsystem, cells: int) -> ProjectionF
 # laws from per-cell contraction
 
 
-def _cells_to_set(mask: int, n: int, as_intervals: bool) -> ClosedSet:
-    raw = []
-    for i in range(n):
-        if mask >> i & 1:
-            lo = Fraction(i, n)
-            raw.append((lo, lo + Fraction(1, n) if as_intervals else lo))
-    return normalize(raw)
+def _runs(mask: int, as_intervals: bool) -> tuple:
+    """Excited cells of a mask as integer runs (i, j), in increasing order.
+
+    A run renders as the interval [i/n, j/n]: a point (i, i) per excited
+    cell, or with ``as_intervals`` one (i, j) per maximal block of adjacent
+    excited cells i..j-1.  Since i -> i/n is monotone, these tuples sort
+    as the rendered sets' ``intervals`` do.
+    """
+    runs = []
+    i = 0
+    while mask:
+        skip = (mask & -mask).bit_length() - 1
+        i, mask = i + skip, mask >> skip
+        if as_intervals:
+            length = (mask ^ (mask + 1)).bit_length() - 1  # trailing ones
+            runs.append((i, i + length))
+        else:
+            length = 1
+            runs.append((i, i))
+        i, mask = i + length, mask >> length
+    return tuple(runs)
 
 
-def _atom_weights(family: ProjectionFamily, rho: StateDensity) -> list[Fraction]:
-    """tr(rho (x)_i Q_i) for every excited-cell mask T, indexed by mask.
+def _atom_weights(family: ProjectionFamily,
+                  rho: StateDensity) -> tuple[list[tuple[int, int]], int]:
+    """Positive atoms tr(rho (x)_i Q_i) = a/D as pairs (mask T, a), and D.
 
-    The tracial state gives the exact rationals (f/g)^(n-|T|) ((g-f)/g)^|T|.
-    Any other state is contracted one cell at a time, cell 0 (the leading
-    Kronecker factor) first, against the stack [P1, I - P1]; each float is
-    kept as its exact binary rational.
+    Only the masks that hold words are weighed.  The tracial state gives
+    a = f^(n-|T|) (g-f)^|T| over D = g^n.  Any other state is contracted
+    one cell at a time, cell 0 (the leading Kronecker factor) first,
+    against the stack [P1, I - P1]; each float atom is kept as its exact
+    binary rational, over the largest of their power-of-two denominators.
+    Atoms above -``NEGATIVITY_TOL`` are dropped at zero; a lower one raises
+    ``InconsistentFamilyError``.
     """
     n, g = family.cells, family.slot_dim
     if rho.dim != g ** n:
         raise ValueError("state dimension does not match the cell fiber")
+    masks = family.masks()
     if rho.is_tracial:
-        inside = Fraction(family.subsystem.level1.rank, g)
-        return [inside ** (n - mask.bit_count()) * (1 - inside) ** mask.bit_count()
-                for mask in range(2 ** n)]
+        f = family.subsystem.level1.rank
+        by_count = [f ** (n - k) * (g - f) ** k for k in range(n + 1)]
+        return [(mask, by_count[mask.bit_count()]) for mask in masks], g ** n
     p1 = family.slot_projector()
     stack = np.stack([p1, np.eye(g) - p1])
     # x[m, a, b]: mask m of the cells done so far, row and column words of
     # the cells still to do.  The new cell's bit is the highest so far.
     x = rho.matrix[None]
     for _ in range(n):
-        masks, rest = x.shape[0], x.shape[1] // g
-        x = x.reshape(masks, g, rest, g, rest)
+        count, rest = x.shape[0], x.shape[1] // g
+        x = x.reshape(count, g, rest, g, rest)
         x = np.tensordot(stack, x, axes=([1, 2], [3, 1]))
-        x = x.reshape(2 * masks, rest, rest)
-    return [Fraction(float(w)) for w in x.real.reshape(-1)]
+        x = x.reshape(2 * count, rest, rest)
+    weights = x.real.reshape(-1).tolist()
+    ratios = []
+    for mask in masks:
+        p = weights[mask]
+        if p < -NEGATIVITY_TOL:
+            raise InconsistentFamilyError(f"atom {mask:b} has probability {p:.3e}")
+        if p > 0:
+            ratios.append((mask, *p.as_integer_ratio()))
+    denominator = max((den for _, _, den in ratios), default=1)
+    return [(mask, num * (denominator // den)) for mask, num, den in ratios], denominator
 
 
 def measure_from_state(family: ProjectionFamily, rho: StateDensity,
@@ -194,26 +260,33 @@ def measure_from_state(family: ProjectionFamily, rho: StateDensity,
     The atom of the excited-cell mask T has probability tr(rho (x)_i Q_i):
     exact rationals for the tracial state, otherwise one contraction of
     rho against [P1, I - P1] per cell with each float kept as its exact
-    binary rational.  Atoms above -``NEGATIVITY_TOL`` are clamped at zero;
-    a lower one raises ``InconsistentFamilyError``.  Excited cells are
-    rendered as their left endpoints (or as full cell intervals when
-    ``cells_as_intervals`` is set).  Probabilities are normalised to total
-    one.
+    binary rational.  Only masks that hold words have atoms, so at f = g
+    the law is the point mass at the empty set.  Atoms above
+    -``NEGATIVITY_TOL`` are clamped at zero; a lower one raises
+    ``InconsistentFamilyError``, as does a total more than ``CHECK_TOL``
+    from one.  A state whose smallest eigenvalue is not above
+    ``FAITHFUL_TOL`` (``StateDensity.is_faithful``) draws a warning.
+
+    The law is rendered straight from the masks: each atom's weight is an
+    integer a over a common denominator, normalised as a / sum(a); excited
+    cells render as their left endpoints i/n (or, when
+    ``cells_as_intervals`` is set, adjacent cells as one interval), built
+    from the mask's integer runs; the atoms are ordered by those runs.
     """
     if not rho.is_faithful:
         warnings.warn("state is not faithful; measure-type claims are suspended",
                       stacklevel=2)
+    weights, denominator = _atom_weights(family, rho)
+    total = sum(a for _, a in weights) / denominator
+    if abs(total - 1.0) > CHECK_TOL:
+        raise InconsistentFamilyError(f"probabilities sum to {total!r}")
     n = family.cells
+    ends = [Fraction(i, n) for i in range(n + 1)]
     atoms = []
-    for mask, p in enumerate(_atom_weights(family, rho)):
-        if p < -NEGATIVITY_TOL:
-            raise InconsistentFamilyError(f"atom {mask:b} has probability {float(p):.3e}")
-        if p > 0:
-            atoms.append((_cells_to_set(mask, n, cells_as_intervals), p))
-    total = sum(p for _, p in atoms)
-    if abs(float(total) - 1.0) > CHECK_TOL:
-        raise InconsistentFamilyError(f"probabilities sum to {float(total)!r}")
-    return RandomClosedSetDist.from_atoms((cs, p / total) for cs, p in atoms)
+    for mask, a in weights:
+        runs = _runs(mask, cells_as_intervals)
+        atoms.append((runs, ClosedSet(tuple((ends[i], ends[j]) for i, j in runs)), a))
+    return RandomClosedSetDist.from_weights(atoms)
 
 
 def pushforward_cb(dist: RandomClosedSetDist) -> RandomClosedSetDist:
@@ -266,8 +339,9 @@ class CorrespondenceReport:
 
 
 def _measures_agree(a: RandomClosedSetDist, b: RandomClosedSetDist) -> float:
-    atoms = a.support() | b.support()
-    return max(abs(float(a.probability(cs) - b.probability(cs))) for cs in atoms)
+    """Largest gap between the two laws' probabilities of one closed set."""
+    pa, pb = dict(a.atoms), dict(b.atoms)
+    return max(abs(float(pa.get(cs, 0) - pb.get(cs, 0))) for cs in pa.keys() | pb.keys())
 
 
 def _check_blocks(report: CorrespondenceReport, name: str, family: ProjectionFamily,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prodsys.linalg import (
+    CONTAIN_TOL,
     DimensionMismatchError,
     InvalidInputError,
     Subspace,
@@ -146,6 +147,23 @@ class TestProjectorAndContains:
         assert contains(full_space(2), span([1, 0]))
         assert not contains(span([1, 0]), full_space(2))
         assert contains(random_subspace(4, 2), zero_space(4))
+
+    @pytest.mark.parametrize("axes,scale,contained", [(4, 0.6, True), (4, 1.2, False),
+                                                      (1, 1.05, False)])
+    def test_contains_decides_on_the_two_norm(self, axes, scale, contained):
+        # b tilts some axes of a by the same small angle into orthogonal
+        # directions: the residual has that many singular values equal to
+        # scale * tol, so its Frobenius norm is sqrt(axes) * scale * tol.
+        tol = CONTAIN_TOL
+        eye = np.eye(12)
+        a = Subspace(eye[:, :4].astype(complex))
+        tilt = np.zeros((12, 4))
+        tilt[4:4 + axes, :axes] = np.eye(axes)
+        b = orthonormalize(eye[:, :4] + scale * tol * tilt)
+        residual = b.basis - a.project(b.basis)
+        assert np.linalg.norm(residual, 2) == pytest.approx(scale * tol, rel=1e-6)
+        assert np.linalg.norm(residual) >= tol
+        assert contains(a, b) is contained
 
 
 class TestIntersect:

@@ -12,7 +12,11 @@ diagonal 0/1 matrix of its mask predicate.
 ``measure_from_state`` contracts the state one cell at a time.  Its oracle
 here takes the vacuum weights q(A) = tr(rho prod_{i in A} P_i) by dense
 Kronecker products and recovers the atoms by inclusion-exclusion over all
-3^n pairs of nested cell sets.
+3^n pairs of nested cell sets.  The law renders each mask from its integer
+runs; the oracle renderer here normalises the cells' Fraction intervals
+and lets ``RandomClosedSetDist.from_atoms`` merge and sort them.  The
+faithfulness test (a Schur step of two Cholesky factorisations) has
+``eigvalsh`` as its oracle.
 """
 
 from fractions import Fraction
@@ -24,7 +28,7 @@ from prodsys import cluster as cl
 from prodsys import lattice as lt
 from prodsys import linalg as la
 from prodsys import randomsets as rs
-from prodsys.hyperspace import EMPTY_SET, RandomClosedSetDist
+from prodsys.hyperspace import EMPTY_SET, RandomClosedSetDist, closed_set, normalize
 
 ORACLE_TOL = 1e-10
 SIZES = ((2, 6), (3, 4), (4, 4))
@@ -33,6 +37,27 @@ LAW_CASES = CASES + [(2, 8, 1), (2, 8, 2)]
 LAW_TOL = 1e-12
 CHECK_NAMES = ["single_excitation_blocks", "finite_excitation_blocks",
                "derivative_pushforward"]
+
+
+def cells_to_set(mask, n, as_intervals):
+    """The excited cells of a mask as points i/n, or as the intervals
+    [i/n, (i+1)/n] merged by ``normalize``."""
+    raw = []
+    for i in range(n):
+        if mask >> i & 1:
+            lo = Fraction(i, n)
+            raw.append((lo, lo + Fraction(1, n) if as_intervals else lo))
+    return normalize(raw)
+
+
+def rendered_law(family, rho, as_intervals):
+    """The law from the same atom weights, each rendered by ``cells_to_set``
+    and normalised in Fractions by ``from_atoms``."""
+    weights, denominator = rs._atom_weights(family, rho)
+    atoms = [(cells_to_set(mask, family.cells, as_intervals), Fraction(a, denominator))
+             for mask, a in weights]
+    total = sum(p for _, p in atoms)
+    return RandomClosedSetDist.from_atoms((cs, p / total) for cs, p in atoms)
 
 
 def indicator_projection(family, event):
@@ -98,7 +123,7 @@ def inclusion_exclusion_law(family, rho):
             c_mask = (c_mask - 1) & t_mask
         assert p >= -rs.NEGATIVITY_TOL
         if p > 0:
-            atoms.append((rs._cells_to_set(t_mask, n, False), p))
+            atoms.append((cells_to_set(t_mask, n, False), p))
     total = sum(p for _, p in atoms)
     return RandomClosedSetDist.from_atoms((cs, p / total) for cs, p in atoms)
 
@@ -310,3 +335,122 @@ def test_is_faithful():
     u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     rotated = u @ np.diag([0.5, 0.0, 0.25, 0.25]) @ u.conj().T
     assert not rs.StateDensity(rotated).is_faithful
+
+
+def _rotated(eigenvalues, seed):
+    """U diag(eigenvalues) U* for a seeded random unitary U."""
+    dim = len(eigenvalues)
+    rng = np.random.default_rng((dim, seed))
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+@pytest.mark.parametrize("lam,accepted", [(1e-10, True), (2e-12, True), (5e-13, False),
+                                          (0.0, False), (-1e-10, False)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 64, 257])
+def test_faithfulness_matches_eigvalsh(dim, lam, accepted):
+    # The smallest eigenvalue is lam; the others fill the trace up to one.
+    rest = np.random.default_rng(dim).uniform(0.5, 1.5, size=dim - 1)
+    m = _rotated(np.concatenate([[lam], rest / rest.sum() * (1 - lam)]), seed=1)
+    assert bool(np.linalg.eigvalsh(m)[0] > rs.FAITHFUL_TOL) is accepted
+    assert rs._exceeds(m, rs.FAITHFUL_TOL) is accepted
+    if dim > 1:
+        assert rs.StateDensity(m).is_faithful is accepted
+
+
+@pytest.mark.parametrize("dim", [2, 64, 257])
+def test_faithfulness_rejects_at_the_schur_complement(dim):
+    # The leading block is positive definite; only the complement is not.
+    rest = np.random.default_rng(dim).uniform(0.5, 1.5, size=dim - 1)
+    m = _rotated(np.concatenate([[0.0], rest / rest.sum()]), seed=2)
+    h = dim // 2
+    assert np.linalg.eigvalsh(m[:h, :h])[0] > rs.FAITHFUL_TOL
+    np.linalg.cholesky(m[:h, :h] - rs.FAITHFUL_TOL * np.eye(h))
+    assert not rs.StateDensity(m).is_faithful
+
+
+def test_faithfulness_rejects_at_the_leading_block():
+    # A null vector inside the leading half: the first Cholesky fails.
+    dim, h = 64, 32
+    lead = np.linspace(1.0, 2.0, h)
+    lead[0] = 0.0
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:h, :h] = _rotated(lead, seed=3)
+    m[h:, h:] = _rotated(np.linspace(1.0, 2.0, h), seed=4)
+    m /= np.trace(m).real
+    assert np.linalg.eigvalsh(m[:h, :h])[0] <= rs.FAITHFUL_TOL
+    assert np.count_nonzero(m) > dim
+    assert not rs.StateDensity(m).is_faithful
+
+
+def test_is_tracial_reads_the_diagonal_first():
+    assert rs.StateDensity.tracial(8).is_tracial
+    off = np.eye(8, dtype=complex) / 8
+    off[0, 1] = off[1, 0] = 1e-3
+    assert not rs.StateDensity(off).is_tracial
+    assert not rs.StateDensity.diagonal(np.arange(1.0, 9.0)).is_tracial
+
+
+@pytest.mark.parametrize("state", ["diag", "dense"])
+def test_rotated_full_level1_law_is_point_mass_at_empty_set(state):
+    # f = g with a rotated basis: I - P1 is round-off, so every excited
+    # mask holds no words and gets no atom.
+    g, n = 2, 8
+    family = rs.projections_from_subsystem(_subsystem(g, n, g), n)
+    assert family.masks() == [0]
+    law = rs.measure_from_state(family, _state(state, g, n))
+    assert law.atoms == ((EMPTY_SET, Fraction(1)),)
+
+
+@pytest.mark.parametrize("state", ["tracial", "dense"])
+@pytest.mark.parametrize("as_intervals", [False, True])
+@pytest.mark.parametrize("g,n,f", [(2, 6, 1), (3, 4, 1), (3, 4, 2)])
+def test_law_rendering_matches_normalize_oracle(g, n, f, as_intervals, state):
+    family = rs.projections_from_subsystem(_subsystem(g, n, f), n)
+    rho = _state(state, g, n)
+    law = rs.measure_from_state(family, rho, cells_as_intervals=as_intervals)
+    # Every mask has an atom, and atoms come in the oracle's order.
+    assert len(law.atoms) == 2 ** n
+    assert law.atoms == rendered_law(family, rho, as_intervals).atoms
+    pushed = rs.pushforward_cb(law)
+    if as_intervals:
+        assert pushed.atoms == law.atoms
+    else:
+        assert pushed.atoms == ((EMPTY_SET, Fraction(1)),)
+
+
+def test_interval_rendering_merges_adjacent_cells():
+    g, n = 2, 6
+    family = rs.projections_from_subsystem(_subsystem(g, n, 1), n)
+    law = rs.measure_from_state(family, _state("tracial", g, n), cells_as_intervals=True)
+    # Cells 1, 3 and 4: an interval for cell 1, one for the run 3..4.
+    merged = closed_set((Fraction(1, 6), Fraction(2, 6)), (Fraction(3, 6), Fraction(5, 6)))
+    assert len(merged.intervals) == 2
+    assert law.probability(merged) == Fraction(1, 2 ** n)
+    assert rs._runs(0b011010, True) == ((1, 2), (3, 5))
+    assert rs._runs(0b011010, False) == ((1, 1), (3, 3), (4, 4))
+    assert rs._runs(0b111111, True) == ((0, 6),)
+
+
+def test_measures_agree_on_disjoint_supports():
+    a = RandomClosedSetDist.from_atoms([(closed_set(0), Fraction(1, 2)),
+                                        (closed_set(Fraction(1, 2)), Fraction(1, 2))])
+    b = RandomClosedSetDist.from_atoms([(EMPTY_SET, Fraction(3, 4)),
+                                        (closed_set(1), Fraction(1, 4))])
+    assert rs._measures_agree(a, b) == 0.75
+    assert rs._measures_agree(b, a) == 0.75
+    assert rs._measures_agree(a, a) == 0.0
+    mixed = RandomClosedSetDist.from_atoms([(closed_set(0), Fraction(1, 8)),
+                                            (EMPTY_SET, Fraction(7, 8))])
+    assert rs._measures_agree(a, mixed) == 0.875
+
+
+def test_from_weights_rejects_what_from_atoms_rejects():
+    cs = closed_set(0)
+    with pytest.raises(ValueError, match="positive"):
+        RandomClosedSetDist.from_weights([((0,), cs, 0), ((1,), EMPTY_SET, 1)])
+    with pytest.raises(ValueError, match="distinct"):
+        RandomClosedSetDist.from_weights([((0,), cs, 1), ((0,), cs, 1)])
+    law = RandomClosedSetDist.from_weights([(((0, 0),), cs, 3), ((), EMPTY_SET, 1)])
+    assert law.atoms == RandomClosedSetDist.from_atoms(
+        [(cs, Fraction(3, 4)), (EMPTY_SET, Fraction(1, 4))]).atoms
